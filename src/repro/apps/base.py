@@ -14,6 +14,7 @@ Each application (Table 3) supplies:
 from __future__ import annotations
 
 import abc
+import json
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -92,6 +93,23 @@ class Application(abc.ABC):
         if self.sim_overrides:
             base = dataclasses.replace(base, **self.sim_overrides)
         return base
+
+    def identity(self) -> str:
+        """Everything besides a configuration that shapes its results.
+
+        The application class and every public instance parameter
+        (problem size, layout, :attr:`sim_overrides`, ...) as
+        sorted-key JSON.  The result store's config tier is keyed by
+        it, so results recorded by ``MatMul(n=64)`` are never served
+        to ``MatMul()``.
+        """
+        params = {
+            name: value for name, value in vars(self).items()
+            if not name.startswith("_")
+        }
+        cls = type(self)
+        return json.dumps([f"{cls.__module__}.{cls.__qualname__}", params],
+                          sort_keys=True, default=repr)
 
     def trace_group_key(self, config: Configuration):
         """Batching key: configurations with equal keys share a trace
@@ -244,7 +262,6 @@ class Application(abc.ABC):
         return [self._time_cache[config] for config in configs]
 
     def search_engine(self, workers: Optional[int] = 1,
-                      checkpoint_path: Optional[str] = None,
                       retry_policy=None, fault_spec: Optional[str] = None,
                       store=None):
         """An :class:`~repro.tuning.engine.ExecutionEngine` over this app.
@@ -258,12 +275,13 @@ class Application(abc.ABC):
         ``REPRO_FAULTS`` from the environment); ``store`` — a
         :class:`~repro.store.ResultStore` or directory path, with
         ``None`` reading ``REPRO_STORE`` — layers the persistent
-        result store under this app's ``sim_cache``.
+        result store under this app's ``sim_cache`` and keeps each
+        configuration's results in its config tier.
         """
         from repro.tuning.engine import ExecutionEngine
 
         return ExecutionEngine.for_app(
-            self, workers=workers, checkpoint_path=checkpoint_path,
+            self, workers=workers,
             retry_policy=retry_policy, fault_spec=fault_spec, store=store,
         )
 
@@ -333,7 +351,7 @@ class Application(abc.ABC):
         self._sim_cache.clear()
 
     def __getstate__(self) -> dict:
-        # Keep pickles (process-pool workers, checkpoint tooling) small
+        # Keep pickles (process-pool workers) small
         # and robust: caches are recomputed on the other side.  The
         # attached result store (if any) survives — it holds no open
         # handles and is exactly what a remote copy should read from.

@@ -10,7 +10,7 @@ so a multi-strategy experiment performs exactly one static-metric pass
 over the space and never simulates the same configuration twice — the
 Pareto and random searches are served from the exhaustive pass's
 cache.  ``workers`` fans the exhaustive measurement out across a
-process pool; ``checkpoint_path`` lets an interrupted sweep resume.
+process pool; a result store lets an interrupted sweep resume.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ def run_experiment(
     include_random: bool = False,
     random_seed: int = 0,
     workers: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
     engine: Optional[ExecutionEngine] = None,
     retry_policy=None,
     fault_spec: Optional[str] = None,
@@ -139,14 +138,14 @@ def run_experiment(
     (``None``) defers to the ``REPRO_WORKERS`` environment variable,
     so a whole suite can be switched to pooled execution without
     touching call sites (results are bit-identical either way).
-    ``checkpoint_path`` turns on the on-disk resume cache.
     ``retry_policy`` and ``fault_spec`` configure the scheduler's
     fault-tolerance knobs and deterministic fault injection (``None``
     defers to ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES`` and
     ``REPRO_FAULTS``).  ``store`` — a directory path or
     :class:`~repro.store.ResultStore`, defaulting to ``REPRO_STORE``
     — layers the persistent result store under the app's simulator
-    cache, so artifacts survive across harness invocations.  Pass an
+    cache, so artifacts — and each configuration's static metrics and
+    measured time — survive across harness invocations.  Pass an
     ``engine`` to reuse caches across calls — otherwise one is created
     (and its pool torn down) per experiment.
 
@@ -163,7 +162,7 @@ def run_experiment(
     owns_engine = engine is None
     if engine is None:
         engine = ExecutionEngine.for_app(
-            app, workers=workers, checkpoint_path=checkpoint_path,
+            app, workers=workers,
             retry_policy=retry_policy, fault_spec=fault_spec, store=store,
         )
     try:

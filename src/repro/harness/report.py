@@ -219,7 +219,7 @@ def render_report(
         write(format_table(
             telemetry,
             ["application", "workers", "static_evals", "simulations",
-             "cache_hits", "checkpoint_hits", "evaluate_wall_s",
+             "cache_hits", "config_hits", "evaluate_wall_s",
              "simulate_wall_s", "pool_fallbacks"],
         ))
         write("\n```\n\n")

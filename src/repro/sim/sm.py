@@ -70,11 +70,6 @@ sample target to ``convergence_max_waves`` so convergence has blocks
 left to extrapolate — the PR-2 predicate never fired in practice
 because the two-wave cap made the convergence check coincide with the
 final sampled block.
-
-``REPRO_JIT=1`` selects the array-based replay engine of
-:mod:`repro.sim.jit` (numba-compiled when numba is importable, the
-same code interpreted over numpy arrays otherwise); results are
-bit-identical to this engine by construction and pinned by tests.
 """
 
 from __future__ import annotations
@@ -86,7 +81,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import current_tracer
 from repro.sim.config import SimConfig
-from repro.sim.jit import replay_engine
 from repro.sim.trace import WarpTrace
 
 # Compiled event opcodes (see compile_trace).  Distinct from the raw
@@ -120,8 +114,7 @@ class CompiledTrace:
     * ``dram_bytes`` — one warp's total DRAM traffic in bytes.
     """
 
-    __slots__ = ("events", "n", "port_cycles", "dram_bytes", "slot_count",
-                 "jit_arrays")
+    __slots__ = ("events", "n", "port_cycles", "dram_bytes", "slot_count")
 
     def __init__(self, events: List[Tuple], port_cycles: int,
                  dram_bytes: float, slot_count: int) -> None:
@@ -130,9 +123,6 @@ class CompiledTrace:
         self.port_cycles = port_cycles
         self.dram_bytes = dram_bytes
         self.slot_count = slot_count
-        # Columnar form for the JIT engine, built lazily by
-        # repro.sim.jit._arrays_for and cached here.
-        self.jit_arrays = None
 
 
 def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
@@ -312,13 +302,8 @@ def simulate_sm(
     tracer = current_tracer()
     span_started = tracer.now() if tracer is not None else 0.0
 
-    engine = replay_engine()
-    if engine is not None:
-        state = engine(compiled, warps_per_block, blocks_resident,
-                       total_blocks, config)
-    else:
-        state = _replay(compiled, warps_per_block, blocks_resident,
-                        total_blocks, config)
+    state = _replay(compiled, warps_per_block, blocks_resident,
+                    total_blocks, config)
     (cycles, finished_blocks, issue_busy, mem_total_bytes, mem_busy,
      extrapolated_blocks, converged_wave, converged_mode) = state
 

@@ -2,15 +2,16 @@
 
 See :mod:`repro.store.disk` for the store itself,
 :mod:`repro.store.decoded` for the daemon-wide decoded-entry cache,
-:mod:`repro.store.atomic` for the shared atomic-write helpers (also
-used by engine checkpoints), and docs/persistent_store.md for the
-schema, locking, eviction, and corruption contracts.
+:mod:`repro.store.atomic` for the atomic-write helpers, and
+docs/persistent_store.md for the schema, locking, eviction, and
+corruption contracts.
 """
 
 from repro.store.atomic import atomic_write_bytes, atomic_write_text, current_umask
 from repro.store.decoded import DecodedCache
 from repro.store.disk import (
     COMPILE_TIER,
+    CONFIG_TIER,
     RESOURCES_TIER,
     ResultStore,
     SCHEMA_VERSION,
@@ -21,11 +22,14 @@ from repro.store.disk import (
     TIERS,
     TRACE_TIER,
     VERIFY_POLICIES,
+    config_entry_key,
     resolve_store,
+    source_digest,
 )
 
 __all__ = [
     "COMPILE_TIER",
+    "CONFIG_TIER",
     "DecodedCache",
     "RESOURCES_TIER",
     "ResultStore",
@@ -39,6 +43,8 @@ __all__ = [
     "VERIFY_POLICIES",
     "atomic_write_bytes",
     "atomic_write_text",
+    "config_entry_key",
     "current_umask",
     "resolve_store",
+    "source_digest",
 ]

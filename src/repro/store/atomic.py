@@ -1,16 +1,16 @@
 """Atomic file writes that honor the process umask.
 
-Every durable artifact in this repository — engine checkpoints, store
-entries, the store's version marker — is written the same way: to a
+Every durable artifact in this repository — store entries and the
+store's version marker — is written the same way: to a
 temporary file in the destination directory, flushed, then moved over
 the target with :func:`os.replace`, so readers only ever observe a
 missing file or a complete one.
 
 ``tempfile.mkstemp`` deliberately creates files ``0600`` regardless of
 the umask (its security contract).  That is wrong for a *published*
-artifact: a checkpoint written by one user could not be resumed by a
-teammate sharing the directory, and a shared result store would be
-readable only by whoever happened to write each entry first.  The
+artifact: a shared result store would be readable only by whoever
+happened to write each entry first, so a teammate could not resume a
+sweep from it.  The
 helpers here re-apply the conventional ``0666 & ~umask`` mode to the
 temporary file before the rename, so the final file carries the same
 permissions a plain ``open(path, "w")`` would have produced.

@@ -6,9 +6,19 @@ warm sweep ~4x faster than a cold one, but it dies with the process.
 content-addressed families — compile results (whole
 :class:`~repro.metrics.model.MetricReport`\\ s), compile-pass resource
 usage, loop-compressed warp traces, and ``(fingerprint,
-blocks_sampled)``-keyed SM replays — keyed by the PR 2/4
+blocks_sampled)``-keyed SM replays — keyed by the
 ``kernel_fingerprint``, so any process that computes the same
 post-transform kernel reads the artifact instead of recomputing it.
+
+A fifth, *config-keyed* tier holds what the
+:class:`~repro.tuning.engine.ExecutionEngine` records per
+configuration — the static result ``(metrics, invalid_reason)`` and,
+once timed, the measured seconds — so a re-run over the same store
+skips even the kernel builds the fingerprint needs.  Its key
+(:func:`config_entry_key`) hashes the :func:`source_digest` of the
+``repro`` sources, the application's identity and the configuration
+key; entries written by other code or another app identity are
+therefore never read, only left behind.
 
 On-disk layout (all paths relative to the store root)::
 
@@ -17,14 +27,15 @@ On-disk layout (all paths relative to the store root)::
     <tier>/<fp[:2]>/<name>.entry
 
 where ``tier`` is one of ``resources`` / ``trace`` / ``sm`` /
-``compile``, ``fp`` is the 64-hex-char kernel fingerprint, and
-``name`` is the fingerprint itself (``sm`` entries append
-``-<blocks_sampled>``).  Each entry file is::
+``compile`` / ``config``, ``fp`` is the 64-hex-char kernel fingerprint
+(for ``config``, the hashed configuration key), and ``name`` is the
+fingerprint itself (``sm`` entries append ``-<blocks_sampled>``).
+Each entry file is::
 
     repro-store <schema> <tier> <sha256(payload)> <len(payload)>\\n
     <payload>                   # pickled artifact
 
-Contracts (mirroring the PR 5 checkpoint-recovery contract):
+Contracts:
 
 * **atomicity** — entries and the version marker are written via
   tmp-file + :func:`os.replace` (see :mod:`repro.store.atomic`), so a
@@ -76,8 +87,9 @@ making the sha256-per-read cost visible in telemetry.
 
 from __future__ import annotations
 
-import json
+import functools
 import hashlib
+import json
 import logging
 import os
 import pickle
@@ -102,7 +114,8 @@ RESOURCES_TIER = "resources"
 TRACE_TIER = "trace"
 SM_TIER = "sm"
 COMPILE_TIER = "compile"
-TIERS = (RESOURCES_TIER, TRACE_TIER, SM_TIER, COMPILE_TIER)
+CONFIG_TIER = "config"
+TIERS = (RESOURCES_TIER, TRACE_TIER, SM_TIER, COMPILE_TIER, CONFIG_TIER)
 
 #: environment variable naming the store directory (the harness's
 #: ``--store`` flag wins when both are given)
@@ -139,6 +152,37 @@ _ENTRY_SUFFIX = ".entry"
 #: bound is per-writer-approximate
 _RESYNC_WRITE_INTERVAL = 512
 _RESYNC_SECONDS = 300.0
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` file of the ``repro`` package.
+
+    Computed once per process, on first use.  Any edit to the sources
+    changes it, so config-tier entries recorded by other code go stale
+    (they are never read) instead of serving results the current code
+    might not reproduce.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            digest.update(os.path.relpath(path, root).encode("utf-8") + b"\0")
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def config_entry_key(identity: str, config_key: str) -> str:
+    """Config-tier key of one configuration of one application identity
+    under the current sources (see :func:`source_digest`)."""
+    text = f"{source_digest()}\0{identity}\0{config_key}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ResultStore:
@@ -645,6 +689,7 @@ def resolve_store(
 
 __all__ = [
     "COMPILE_TIER",
+    "CONFIG_TIER",
     "MAGIC",
     "RESOURCES_TIER",
     "ResultStore",
@@ -656,5 +701,7 @@ __all__ = [
     "TIERS",
     "TRACE_TIER",
     "VERIFY_POLICIES",
+    "config_entry_key",
     "resolve_store",
+    "source_digest",
 ]

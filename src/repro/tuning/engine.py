@@ -22,12 +22,13 @@ timed.  The :class:`ExecutionEngine` owns the space instead:
   order, so ``workers=4`` is bit-identical to ``workers=1`` — results
   *and* telemetry counters — even under injected faults (see
   :mod:`repro.obs.faults`);
-* an opt-in JSON checkpoint (format version 2) persists measured
-  times *and* static-stage results on disk, flushed incrementally as
-  results stream in (every ``checkpoint_interval`` new results), so an
-  interrupted or killed sweep resumes losslessly; a truncated or
-  corrupt checkpoint is detected, warned about, and discarded — the
-  sweep restarts cleanly instead of crashing on a raw decode error;
+* with a result store attached (``store=`` / ``REPRO_STORE``), every
+  static result and measured time is written to the store's
+  config-keyed tier as it is recorded, so an interrupted or killed
+  sweep resumes by re-running against the same store, and a restarted
+  process skips the kernel builds of every configuration already
+  recorded; a corrupt entry is a counted, warned miss that is simply
+  recomputed;
 * telemetry (evaluated counts, cache hits, wall time per stage,
   retries/timeouts/quarantines) is recorded on :class:`EngineStats`
   and surfaced by the harness report.  Pool workers return a counter
@@ -53,11 +54,11 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.occupancy import LaunchError
-from repro.metrics.model import MetricReport, report_from_json, report_to_json
+from repro.metrics.model import MetricReport
 from repro.obs.faults import FAULTS_ENV, FaultPlan
 from repro.obs.metrics import Counters
 from repro.obs.trace import span
-from repro.store import ResultStore, atomic_write_text, resolve_store
+from repro.store import CONFIG_TIER, ResultStore, config_entry_key, resolve_store
 from repro.tuning.scheduler import (
     SIMULATE,
     SIMULATE_GROUP,
@@ -78,9 +79,9 @@ Simulate = Callable[[Configuration], float]
 #: of the two is populated.
 StaticEntry = Tuple[Optional[MetricReport], Optional[str]]
 
-CHECKPOINT_VERSION = 2
-#: Version-1 checkpoints (times only, no "static" section) still load.
-SUPPORTED_CHECKPOINT_VERSIONS = frozenset({1, CHECKPOINT_VERSION})
+#: A config-tier store entry: the static entry (``None`` when only the
+#: time is known) and the measured seconds (``None`` until timed).
+ConfigEntry = Tuple[Optional[StaticEntry], Optional[float]]
 
 
 @dataclasses.dataclass
@@ -98,18 +99,14 @@ class EvaluatedConfig:
 
 
 def config_key(config: Configuration) -> str:
-    """Stable string key for a configuration (the checkpoint format).
+    """Stable string key for a configuration.
 
     Sorted-key JSON of the parameter mapping; values outside the JSON
     types fall back to ``repr``.  In memory the engine keys caches by
     the (hashable) configuration itself — this key only exists so
-    checkpoints survive process boundaries.
+    results survive process boundaries (the store's config tier).
     """
     return json.dumps(dict(config), sort_keys=True, default=repr)
-
-
-class _CorruptCheckpoint(Exception):
-    """Internal marker: the checkpoint file cannot be trusted."""
 
 
 @dataclasses.dataclass
@@ -121,9 +118,8 @@ class EngineStats:
     static_cache_hits: int = 0       # evaluate requests served from memory
     simulations: int = 0             # underlying simulate() calls
     simulation_cache_hits: int = 0   # simulate requests served from memory
-    checkpoint_hits: int = 0         # measured times restored from disk
-    checkpoint_static_hits: int = 0  # static results restored from disk
-    checkpoint_corrupt: int = 0      # corrupt checkpoints discarded on load
+    config_static_hits: int = 0      # static results read from the config tier
+    config_time_hits: int = 0        # measured times read from the config tier
     evaluate_seconds: float = 0.0    # wall time in the static stage
     simulate_seconds: float = 0.0    # wall time in the measurement stage
     pool_batches: int = 0            # batches dispatched to the pool
@@ -225,7 +221,7 @@ class EngineStats:
             f"sims={self.simulations} cache_hits={self.cache_hits} "
             f"fp_hits={self.fingerprint_hits} "
             f"compile_hits={self.compile_hits} "
-            f"ckpt_hits={self.checkpoint_hits} "
+            f"config_hits={self.config_static_hits + self.config_time_hits} "
             f"eval_wall={self.evaluate_seconds:.3f}s "
             f"sim_wall={self.simulate_seconds:.3f}s"
         )
@@ -267,23 +263,6 @@ class ExecutionEngine:
         Worker-pool width for sweep fan-out.  ``1`` (default) runs
         everything in-process; ``None`` reads ``REPRO_WORKERS`` from
         the environment (default 1).
-    checkpoint_path:
-        Optional JSON file persisting measured times and static-stage
-        results (format version 2; version-1 files still load).
-        Loaded (if it exists) on construction and rewritten atomically
-        every ``checkpoint_interval`` new results — results stream in
-        completion order, so an interrupt mid-batch loses at most
-        ``checkpoint_interval`` results.  A corrupt or truncated file
-        is discarded with a warning (``checkpoint_corrupt`` counts it)
-        and the sweep restarts fresh.
-    checkpoint_interval:
-        How many new results (measurements or static evaluations) may
-        accumulate before the checkpoint is rewritten mid-batch
-        (default 16).
-    label:
-        Optional tag (usually the application name) stored in the
-        checkpoint and validated on resume, so a sweep cannot silently
-        resume from another application's times.
     sim_cache:
         Optional :class:`repro.sim.fingerprint.SimulationCache` whose
         counters are mirrored into :attr:`stats` after every
@@ -309,7 +288,9 @@ class ExecutionEngine:
         write-back; pool workers read through and ship fresh artifacts
         home with their counter deltas.  Results are bit-identical
         with the store absent, cold, or warm — it only changes how
-        fast they arrive.
+        fast they arrive.  Engines built by :meth:`for_app` also keep
+        each configuration's static result and measured time in the
+        store's config tier (see :meth:`for_app`).
     """
 
     def __init__(
@@ -317,9 +298,6 @@ class ExecutionEngine:
         evaluate: Evaluate,
         simulate: Simulate,
         workers: Optional[int] = 1,
-        checkpoint_path: Optional[str] = None,
-        label: Optional[str] = None,
-        checkpoint_interval: int = 16,
         sim_cache=None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_spec: Optional[str] = None,
@@ -354,10 +332,10 @@ class ExecutionEngine:
             # (e.g. the application wired one up); surface it.
             self.store = getattr(sim_cache, "store", None)
         self.workers = resolve_workers(workers)
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_interval = max(1, int(checkpoint_interval))
-        self._unsaved_results = 0
-        self.label = label
+        #: the application identity keying the store's config tier
+        #: (set by :meth:`for_app`); ``None`` keeps per-configuration
+        #: results out of the store
+        self._identity: Optional[str] = None
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy.from_env()
         )
@@ -370,41 +348,43 @@ class ExecutionEngine:
         self.stats = EngineStats(workers=self.workers)
         self._static: Dict[Configuration, StaticEntry] = {}
         #: configurations whose static entry was just produced by a
-        #: batch prefill (pool fan-out or checkpoint claim) and not yet
+        #: batch prefill (pool fan-out or config-tier claim) and not yet
         #: handed to a caller.  The first ``evaluate_config`` for such
         #: a config consumes the mark instead of counting a cache hit,
         #: so EngineStats is bit-identical across worker counts.
         self._static_fresh: set = set()
         self._seconds: Dict[Configuration, float] = {}
-        #: times loaded from disk, keyed by config_key, not yet claimed
-        self._checkpoint_times: Dict[str, float] = {}
-        #: static results loaded from disk, keyed by config_key
-        self._checkpoint_static: Dict[str, StaticEntry] = {}
+        #: measured times the static stage found in the config tier,
+        #: not yet claimed by ``seconds_for``
+        self._stored_seconds: Dict[Configuration, float] = {}
         self._scheduler: Optional[SweepScheduler] = None
         self._pool_broken = False
         #: simulator-cache counter deltas returned by pool workers,
         #: merged into ``stats`` alongside the in-process counters
         self._pool_counters = Counters()
-        if checkpoint_path:
-            self._load_checkpoint()
 
     @classmethod
     def for_app(
         cls,
         app,
         workers: Optional[int] = 1,
-        checkpoint_path: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_spec: Optional[str] = None,
         store: Union[ResultStore, str, None] = None,
     ) -> "ExecutionEngine":
-        """Engine around an :class:`~repro.apps.base.Application`."""
-        return cls(
+        """Engine around an :class:`~repro.apps.base.Application`.
+
+        With a store attached, the engine reads and writes the store's
+        config tier under ``app.identity()`` (the app class and every
+        result-shaping parameter) and the digest of the ``repro``
+        sources, so a re-run against the same store skips every
+        configuration already recorded, and entries recorded by another
+        app identity or another version of the code are never served.
+        """
+        engine = cls(
             app.evaluate,
             app.simulate,
             workers=workers,
-            checkpoint_path=checkpoint_path,
-            label=app.name,
             sim_cache=getattr(app, "sim_cache", None),
             retry_policy=retry_policy,
             fault_spec=fault_spec,
@@ -412,6 +392,10 @@ class ExecutionEngine:
             simulate_group=getattr(app, "simulate_group", None),
             group_key=getattr(app, "trace_group_key", None),
         )
+        identity = getattr(app, "identity", None)
+        if engine.store is not None and identity is not None:
+            engine._identity = identity()
+        return engine
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -458,10 +442,8 @@ class ExecutionEngine:
         """One configuration through the static-metric cache."""
         cached = self._static.get(config)
         if cached is None:
-            key = config_key(config)
-            if key in self._checkpoint_static:
-                cached = self._claim_checkpoint_static(config, key)
-            else:
+            cached = self._claim_stored_static(config)
+            if cached is None:
                 try:
                     cached = (self._evaluate(config), None)
                 except LaunchError as error:
@@ -500,9 +482,7 @@ class ExecutionEngine:
             for config in configs:
                 if config in self._static or config in seen:
                     continue
-                key = config_key(config)
-                if key in self._checkpoint_static:
-                    self._claim_checkpoint_static(config, key)
+                if self._claim_stored_static(config) is not None:
                     self._static_fresh.add(config)
                     continue
                 seen.add(config)
@@ -511,28 +491,33 @@ class ExecutionEngine:
             if self.workers > 1 and len(missing) > 1:
                 self._evaluate_missing_pooled(missing)
             entries = [self.evaluate_config(config) for config in configs]
-            if missing:
-                self._save_checkpoint()
         self.stats.evaluate_seconds += time.perf_counter() - started
         self._sync_sim_stats()
         return entries
 
-    def _claim_checkpoint_static(
-        self, config: Configuration, key: str
-    ) -> StaticEntry:
-        """Move one static result from the loaded checkpoint into the
-        in-memory cache (counted once, like a measured-time claim)."""
-        cached = self._checkpoint_static.pop(key)
-        self._static[config] = cached
-        self.stats.checkpoint_static_hits += 1
+    def _claim_stored_static(self, config: Configuration) -> Optional[StaticEntry]:
+        """Move one static result from the config tier into memory.
+
+        A measured time stored in the entry is kept for
+        ``seconds_for``.  ``None`` when the tier is off or holds no
+        static result for the configuration.
+        """
+        stored = self._load_stored(config)
+        if stored is None:
+            return None
+        cached, seconds = stored
+        if seconds is not None:
+            self._stored_seconds[config] = seconds
+        if cached is not None:
+            self._static[config] = cached
+            self.stats.config_static_hits += 1
         return cached
 
     def _record_static(self, config: Configuration, cached: StaticEntry) -> None:
         self._static[config] = cached
         self.stats.static_evaluations += 1
-        self._unsaved_results += 1
-        if self.checkpoint_path and self._unsaved_results >= self.checkpoint_interval:
-            self._save_checkpoint()
+        seconds = self._seconds.get(config, self._stored_seconds.get(config))
+        self._write_stored(config, (cached, seconds))
 
     def _evaluate_missing_pooled(self, configs: List[Configuration]) -> None:
         """Fan the static stage out across the sweep scheduler.
@@ -579,10 +564,10 @@ class ExecutionEngine:
         """Measured seconds for each configuration, in request order.
 
         Cache misses are simulated (through the scheduler when
-        ``workers > 1``); hits are returned from memory or the
-        checkpoint.  The returned list always aligns with ``configs``,
-        so callers see deterministic ordering regardless of worker
-        count.
+        ``workers > 1``); hits are returned from memory or the store's
+        config tier.  The returned list always aligns with
+        ``configs``, so callers see deterministic ordering regardless
+        of worker count.
         """
         started = time.perf_counter()
         with span("engine.simulate_batch", cat="engine",
@@ -593,10 +578,10 @@ class ExecutionEngine:
                 if config in self._seconds:
                     self.stats.simulation_cache_hits += 1
                     continue
-                restored = self._checkpoint_times.pop(config_key(config), None)
+                restored = self._claim_stored_seconds(config)
                 if restored is not None:
                     self._seconds[config] = restored
-                    self.stats.checkpoint_hits += 1
+                    self.stats.config_time_hits += 1
                     continue
                 if config not in seen:
                     seen.add(config)
@@ -604,7 +589,6 @@ class ExecutionEngine:
             batch_span.add_args(missing=len(missing))
             if missing:
                 self._simulate_missing(missing)
-                self._save_checkpoint()
         self.stats.simulate_seconds += time.perf_counter() - started
         self._sync_sim_stats()
         return [self._seconds[config] for config in configs]
@@ -652,9 +636,9 @@ class ExecutionEngine:
         return grouped, singles
 
     def _simulate_missing(self, configs: List[Configuration]) -> None:
-        """Measure every config, recording (and checkpointing) results
-        as they stream in — an interrupt mid-batch loses at most
-        ``checkpoint_interval`` measurements."""
+        """Measure every config, recording (and storing) results as
+        they stream in — an interrupt mid-batch loses only the
+        measurements still in flight."""
         grouped, remaining = self._trace_groups(configs)
         if grouped:
             self._simulate_groups(grouped)
@@ -798,9 +782,7 @@ class ExecutionEngine:
     def _record_time(self, config: Configuration, seconds: float) -> None:
         self._seconds[config] = seconds
         self.stats.simulations += 1
-        self._unsaved_results += 1
-        if self.checkpoint_path and self._unsaved_results >= self.checkpoint_interval:
-            self._save_checkpoint()
+        self._write_stored(config, (self._static.get(config), seconds))
 
     def _ensure_scheduler(self) -> Optional[SweepScheduler]:
         if self._pool_broken:
@@ -827,135 +809,34 @@ class ExecutionEngine:
         return self._scheduler
 
     # ------------------------------------------------------------------
-    # Checkpointing.
+    # The store's config tier.
 
-    def _load_checkpoint(self) -> None:
-        path = self.checkpoint_path
-        if not path or not os.path.exists(path):
-            return
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            if not isinstance(data, dict):
-                raise _CorruptCheckpoint(
-                    f"top-level payload is {type(data).__name__}, not an object"
-                )
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._discard_corrupt_checkpoint(path, str(error))
-            return
-        except _CorruptCheckpoint as error:
-            self._discard_corrupt_checkpoint(path, str(error))
-            return
-        version = data.get("version")
-        if version is None:
-            # A dict without a version marker is a truncation artifact,
-            # not a deliberate format choice — recover, don't crash.
-            self._discard_corrupt_checkpoint(path, "missing 'version' field")
-            return
-        if version not in SUPPORTED_CHECKPOINT_VERSIONS:
-            raise ValueError(
-                f"checkpoint {path!r}: unsupported version {version!r} "
-                f"(expected one of {sorted(SUPPORTED_CHECKPOINT_VERSIONS)})"
-            )
-        stored_label = data.get("label")
-        if self.label and stored_label and stored_label != self.label:
-            raise ValueError(
-                f"checkpoint {path!r} belongs to {stored_label!r}, "
-                f"not {self.label!r}; refusing to resume from it"
-            )
-        try:
-            self._checkpoint_times = _parse_checkpoint_times(data)
-            self._checkpoint_static = _parse_checkpoint_static(data)
-        except _CorruptCheckpoint as error:
-            self._checkpoint_times = {}
-            self._checkpoint_static = {}
-            self._discard_corrupt_checkpoint(path, str(error))
+    def _stored_key(self, config: Configuration) -> str:
+        return config_entry_key(self._identity, config_key(config))
 
-    def _discard_corrupt_checkpoint(self, path: str, reason: str) -> None:
-        """A checkpoint we cannot trust is dropped, not fatal: the
-        sweep restarts from scratch and the next save overwrites the
-        bad file.  Counted so the harness can surface it."""
-        self.stats.checkpoint_corrupt += 1
-        logger.warning(
-            "checkpoint %r is corrupt (%s); ignoring it and "
-            "restarting the sweep fresh", path, reason,
-        )
+    def _load_stored(self, config: Configuration) -> Optional[ConfigEntry]:
+        """This configuration's config-tier entry, or ``None``."""
+        if self._identity is None:
+            return None
+        return self.store.load(CONFIG_TIER, self._stored_key(config))
 
-    def _save_checkpoint(self) -> None:
-        path = self.checkpoint_path
-        if not path:
-            return
-        times = dict(self._checkpoint_times)  # unclaimed entries survive
-        times.update({config_key(c): s for c, s in self._seconds.items()})
-        static: Dict[str, Any] = {}
-        for key, entry in self._checkpoint_static.items():
-            serialized = _static_entry_to_json(entry)
-            if serialized is not None:
-                static[key] = serialized
-        for config, entry in self._static.items():
-            serialized = _static_entry_to_json(entry)
-            if serialized is not None:
-                static[config_key(config)] = serialized
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "label": self.label,
-            "times": times,
-            "static": static,
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        # Shared atomic-write helper: tmp + os.replace like before, but
-        # with umask-honoring permissions — a raw mkstemp leaves the
-        # checkpoint 0600, unreadable by a teammate resuming the sweep.
-        atomic_write_text(path, json.dumps(payload, indent=1))
-        self._unsaved_results = 0
+    def _claim_stored_seconds(self, config: Configuration) -> Optional[float]:
+        """A measured time from the config tier, or ``None``.
 
+        Configurations whose static result this engine already holds
+        had their entry read (or missed, or written) then, so only the
+        time stashed by :meth:`_claim_stored_static` is consulted.
+        """
+        if config in self._static:
+            return self._stored_seconds.pop(config, None)
+        stored = self._load_stored(config)
+        return stored[1] if stored is not None else None
 
-def _parse_checkpoint_times(data: Dict[str, Any]) -> Dict[str, float]:
-    times = data.get("times", {})
-    if not isinstance(times, dict):
-        raise _CorruptCheckpoint("malformed 'times' table")
-    try:
-        return {str(key): float(value) for key, value in times.items()}
-    except (TypeError, ValueError) as error:
-        raise _CorruptCheckpoint(f"malformed time entry: {error}") from None
-
-
-def _parse_checkpoint_static(data: Dict[str, Any]) -> Dict[str, StaticEntry]:
-    static = data.get("static", {})
-    if not isinstance(static, dict):
-        raise _CorruptCheckpoint("malformed 'static' table")
-    parsed: Dict[str, StaticEntry] = {}
-    for key, entry in static.items():
-        if not isinstance(entry, dict):
-            raise _CorruptCheckpoint(f"malformed static entry {key!r}")
-        metrics = entry.get("metrics")
-        try:
-            parsed[str(key)] = (
-                report_from_json(metrics) if metrics is not None else None,
-                entry.get("invalid"),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as error:
-            raise _CorruptCheckpoint(
-                f"unreadable static entry {key!r}: {error}"
-            ) from None
-    return parsed
-
-
-def _static_entry_to_json(entry: StaticEntry) -> Optional[Dict[str, Any]]:
-    """Serialize one static-stage entry for the checkpoint, or ``None``.
-
-    Only full :class:`MetricReport` instances persist; synthetic spy
-    reports used by tests (built via ``__new__`` with a subset of the
-    fields) simply are not checkpointed rather than crashing the save.
-    """
-    metrics, reason = entry
-    if metrics is None:
-        return {"metrics": None, "invalid": reason}
-    try:
-        return {"metrics": report_to_json(metrics), "invalid": reason}
-    except (AttributeError, TypeError):
-        return None
+    def _write_stored(self, config: Configuration, entry: ConfigEntry) -> None:
+        """Write one config-tier entry (the parent process is the only
+        writer: pool results are recorded here as they stream in)."""
+        if self._identity is not None:
+            self.store.store(CONFIG_TIER, self._stored_key(config), entry)
 
 
 def resolve_workers(workers: Optional[int]) -> int:

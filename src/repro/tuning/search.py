@@ -190,7 +190,7 @@ def select_timed(
 
     This is the single selection routine behind every search strategy;
     callers that need to drive timing themselves (the service daemon
-    chunks timing so it can checkpoint and honor cancellation) use it
+    chunks timing so it can report progress and honor cancellation) use it
     directly and are guaranteed to pick exactly what the one-shot
     strategy functions pick.
     """

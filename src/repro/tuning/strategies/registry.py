@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import math
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
@@ -207,6 +208,21 @@ def request_kwargs(spec: StrategySpec, payload: Dict[str, Any]) -> Dict[str, Any
     return _adaptive_kwargs(spec, payload)
 
 
+def _is_int(value: Any, minimum: Optional[int] = None) -> bool:
+    """A JSON integer (booleans excluded) no smaller than ``minimum``."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool)
+        and (minimum is None or value >= minimum)
+    )
+
+
+def _seed(payload: Dict[str, Any]) -> int:
+    seed = payload.get("seed", 0)
+    if not _is_int(seed):
+        raise StrategyError(f"seed must be an integer, not {seed!r}")
+    return seed
+
+
 def _selection_kwargs(name: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     kwargs: Dict[str, Any] = {}
     if name == "pareto":
@@ -215,28 +231,33 @@ def _selection_kwargs(name: str, payload: Dict[str, Any]) -> Dict[str, Any]:
             raise StrategyError("screen_bandwidth_bound must be a boolean")
         kwargs["screen_bandwidth_bound"] = screen
     elif name == "pareto+cluster":
-        kwargs["relative_tolerance"] = float(
-            payload.get("relative_tolerance", 1e-9)
-        )
-        kwargs["seed"] = int(payload.get("seed", 0))
+        tolerance = payload.get("relative_tolerance", 1e-9)
+        if (isinstance(tolerance, bool)
+                or not isinstance(tolerance, (int, float))
+                or not math.isfinite(tolerance) or tolerance < 0):
+            raise StrategyError(
+                "relative_tolerance must be a finite non-negative number"
+            )
+        kwargs["relative_tolerance"] = float(tolerance)
+        kwargs["seed"] = _seed(payload)
     elif name == "random":
         sample_size = payload.get("sample_size")
-        if not isinstance(sample_size, int) or sample_size < 1:
+        if not _is_int(sample_size, 1):
             raise StrategyError(
                 "random strategy needs a positive integer sample_size"
             )
         kwargs["sample_size"] = sample_size
-        kwargs["seed"] = int(payload.get("seed", 0))
+        kwargs["seed"] = _seed(payload)
     return kwargs
 
 
 def _adaptive_kwargs(
     spec: StrategySpec, payload: Dict[str, Any]
 ) -> Dict[str, Any]:
-    kwargs: Dict[str, Any] = {"seed": int(payload.get("seed", 0))}
+    kwargs: Dict[str, Any] = {"seed": _seed(payload)}
     budget = payload.get("budget")
     if budget is not None:
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        if not _is_int(budget, 1):
             raise StrategyError("budget must be a positive integer")
         kwargs["budget"] = budget
     restrict = payload.get("restrict", "full")
@@ -250,7 +271,7 @@ def _adaptive_kwargs(
         value = payload.get(knob)
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        if not _is_int(value, minimum):
             raise StrategyError(f"{knob} must be an integer >= {minimum}")
         kwargs[knob] = value
     return kwargs

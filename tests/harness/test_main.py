@@ -22,15 +22,15 @@ class TestParseArgs:
     def test_engine_flags_default_off(self):
         options = parse_args(["prog"])
         assert options.workers is None
-        assert options.resume is None
+        assert options.store is None
         assert options.trace is None
         assert options.profile is None
 
     def test_engine_flags(self):
         options = parse_args(["prog", "--workers", "4",
-                              "--resume", "ckpt_dir"])
+                              "--store", "store_dir"])
         assert options.workers == 4
-        assert options.resume == "ckpt_dir"
+        assert options.store == "store_dir"
 
 
 class TestMain:
@@ -87,13 +87,14 @@ class TestMain:
         assert str(profile) in capsys.readouterr().out
 
     def test_resume_writes_then_reuses_checkpoint(self, tmp_path, capsys):
+        """An interrupted run resumes by re-running with the same
+        ``--store``: the config tier holds every result it recorded."""
         output = tmp_path / "report.md"
-        resume = tmp_path / "ckpt"
+        store = tmp_path / "store"
         args = ["prog", str(output), "--apps", "cp", "--no-random",
-                "--resume", str(resume)]
+                "--store", str(store)]
         assert main(args) == 0
-        checkpoint = resume / "cp.json"
-        assert checkpoint.exists()
+        assert any((store / "config").rglob("*.entry"))
         # measured numbers are deterministic; only the telemetry
         # section carries run-dependent wall times
         def measured(text):
@@ -101,8 +102,9 @@ class TestMain:
 
         first_report = output.read_text()
         capsys.readouterr()
-        # second run resumes: no new simulations, identical measurements
+        # second run resumes: no new evaluations or simulations,
+        # identical measurements
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "sims=0" in out
+        assert "evals=0 sims=0" in out
         assert measured(output.read_text()) == measured(first_report)

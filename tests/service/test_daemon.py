@@ -107,12 +107,29 @@ def test_validation_errors_are_400(fake_app_class, service_factory):
         ({"app": "fake", "chunk_size": -1}, "chunk_size"),
         ({"app": "fake", "limit": 4, "configs": [{"x": 0, "y": 1}]},
          "not both"),
+        # malformed strategy fields: rejected by type, never coerced
+        ({"app": "fake", "strategy": "anneal", "seed": None}, "seed"),
+        ({"app": "fake", "strategy": "anneal", "seed": "x"}, "seed"),
+        ({"app": "fake", "strategy": "anneal", "seed": [1]}, "seed"),
+        ({"app": "fake", "strategy": "anneal", "seed": 1.7}, "seed"),
+        ({"app": "fake", "strategy": "random", "sample_size": 2,
+          "seed": None}, "seed"),
+        ({"app": "fake", "strategy": "pareto+cluster",
+          "relative_tolerance": "abc"}, "relative_tolerance"),
+        ({"app": "fake", "strategy": "pareto+cluster", "seed": "x"},
+         "seed"),
+        ({"app": "fake", "strategy": "random", "sample_size": True},
+         "sample_size"),
+        ({"app": "fake", "limit": True}, "limit"),
+        ({"app": "fake", "chunk_size": True}, "chunk_size"),
     ]
     for payload, needle in cases:
         with pytest.raises(ServiceError) as caught:
             daemon.client.submit(payload)
         assert caught.value.status == 400
         assert needle in caught.value.message
+    metrics = daemon.client.metrics()["service"]
+    assert metrics["requests_rejected"] == len(cases)
 
 
 def test_unknown_sweep_is_404_and_results_conflict(fake_app_class,

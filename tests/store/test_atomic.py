@@ -1,15 +1,14 @@
 """Atomic-write helper contract: atomicity plus umask-honoring modes.
 
 ``tempfile.mkstemp`` creates files 0600 regardless of umask; the repo's
-durable artifacts (checkpoints, store entries) are *published* files
-that must carry the permissions a plain ``open(path, "w")`` would
-produce.  These tests pin that, including the engine-checkpoint
-regression the helper was introduced to fix.
+durable artifacts (store entries and the store's version marker) are
+*published* files that must carry the permissions a plain
+``open(path, "w")`` would produce.  These tests pin that, including
+the engine-checkpoint regression the helper was introduced to fix.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 
@@ -82,21 +81,30 @@ def test_mode_honors_umask(tmp_path, restore_umask, umask, expected):
 def test_checkpoint_perms_honor_umask(tmp_path, restore_umask):
     """Regression: engine checkpoints used a raw mkstemp and came out
     0600 under any umask — unreadable by a teammate resuming the sweep
-    from a shared directory."""
+    from a shared directory.  The results a sweep resumes from now live
+    in the store's config tier, written through the same helper."""
+    from repro.sim.fingerprint import SimulationCache
+    from repro.store import CONFIG_TIER
     from repro.tuning.engine import ExecutionEngine
     from repro.tuning.space import ConfigSpace
 
+    class App:
+        sim_cache = SimulationCache()
+
+        def identity(self):
+            return "perms"
+
+        def evaluate(self, config):
+            raise AssertionError
+
+        def simulate(self, config):
+            return float(config["x"])
+
     os.umask(0o022)
-    space = ConfigSpace({"x": [1, 2]})
-    configs = space.configurations()
-    path = tmp_path / "ckpt.json"
-    engine = ExecutionEngine(
-        evaluate=lambda c: (_ for _ in ()).throw(AssertionError),
-        simulate=lambda c: float(c["x"]),
-        checkpoint_path=str(path),
-        checkpoint_interval=1,
-    )
+    configs = ConfigSpace({"x": [1, 2]}).configurations()
+    store = tmp_path / "store"
+    engine = ExecutionEngine.for_app(App(), store=str(store))
     engine.seconds_for(configs)
-    assert _mode(str(path)) == 0o644
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 2
+    entries = sorted((store / CONFIG_TIER).rglob("*.entry"))
+    assert len(entries) == len(configs)
+    assert {_mode(str(path)) for path in entries} == {0o644}

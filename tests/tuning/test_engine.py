@@ -1,4 +1,4 @@
-"""ExecutionEngine regression suite: caching, parallelism, checkpoints.
+"""ExecutionEngine regression suite: caching, parallelism, resume.
 
 The engine's contract is "one static pass, at most one simulation per
 configuration, regardless of strategies or workers" — every test here
@@ -13,6 +13,7 @@ import pytest
 
 from repro.arch import LaunchError
 from repro.metrics.model import MetricReport
+from repro.sim.fingerprint import SimulationCache
 from repro.tuning import (
     ExecutionEngine,
     cartesian,
@@ -45,6 +46,11 @@ class SyntheticApp:
         self.configs = cartesian({"e": [1, 2, 3, 4], "u": [1, 2, 3, 4]})
         self.evaluated = []
         self.simulated = []
+        # What ExecutionEngine.for_app needs to attach a result store.
+        self.sim_cache = SimulationCache()
+
+    def identity(self):
+        return "synthetic"
 
     def evaluate(self, config):
         self.evaluated.append(config)
@@ -189,21 +195,22 @@ class TestParallelWorkers:
 
 
 class TestCheckpoint:
+    """Resume through the result store's config tier."""
+
     def test_resume_equals_cold_run(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
+        store = str(tmp_path / "store")
         cold_app = SyntheticApp()
-        with ExecutionEngine(cold_app.evaluate, cold_app.simulate,
-                             checkpoint_path=path, label="synthetic") as cold:
+        with ExecutionEngine.for_app(cold_app, store=store) as cold:
             cold_result = full_exploration(cold_app.configs, engine=cold)
-        assert json.loads(open(path).read())["label"] == "synthetic"
 
         warm_app = SyntheticApp()
-        with ExecutionEngine(warm_app.evaluate, warm_app.simulate,
-                             checkpoint_path=path, label="synthetic") as warm:
+        with ExecutionEngine.for_app(warm_app, store=store) as warm:
             warm_result = full_exploration(warm_app.configs, engine=warm)
             assert warm_app.simulated == []              # zero re-simulations
+            assert warm_app.evaluated == []              # zero re-evaluations
             assert warm.stats.simulations == 0
-            assert warm.stats.checkpoint_hits == 15
+            assert warm.stats.static_evaluations == 0
+            assert warm.stats.config_time_hits == 15
         assert [e.seconds for e in warm_result.timed] == [
             e.seconds for e in cold_result.timed
         ]
@@ -211,66 +218,45 @@ class TestCheckpoint:
         assert warm_result.measured_seconds == cold_result.measured_seconds
 
     def test_partial_checkpoint_fills_the_gap(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
+        store = str(tmp_path / "store")
         first = SyntheticApp()
-        with ExecutionEngine(first.evaluate, first.simulate,
-                             checkpoint_path=path) as engine:
+        with ExecutionEngine.for_app(first, store=store) as engine:
             engine.seconds_for(list(first.configs[:6]))  # interrupted early
 
         second = SyntheticApp()
-        with ExecutionEngine(second.evaluate, second.simulate,
-                             checkpoint_path=path) as engine:
+        with ExecutionEngine.for_app(second, store=store) as engine:
             entries = engine.evaluate_all(second.configs)
             engine.time_entries([e for e in entries if e.is_valid])
-            assert engine.stats.checkpoint_hits == 6
+            # times without a static result do not skip evaluate()
+            assert engine.stats.static_evaluations == 16
+            assert engine.stats.config_time_hits == 6
             assert engine.stats.simulations == 9
 
     def test_interrupt_mid_batch_preserves_progress(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
+        store = str(tmp_path / "store")
         app = SyntheticApp()
+        simulate = app.simulate
 
         def exploding_simulate(config):
             if len(app.simulated) == 7:
                 raise KeyboardInterrupt
-            return app.simulate(config)
+            return simulate(config)
 
+        app.simulate = exploding_simulate
         with pytest.raises(KeyboardInterrupt):
-            with ExecutionEngine(app.evaluate, exploding_simulate,
-                                 checkpoint_path=path,
-                                 checkpoint_interval=3) as engine:
+            with ExecutionEngine.for_app(app, store=store) as engine:
                 entries = engine.evaluate_all(app.configs)
                 engine.time_entries([e for e in entries if e.is_valid])
 
-        # saved after measurements 3 and 6; the interrupt at 8 lost at
-        # most checkpoint_interval measurements
-        saved = json.loads(open(path).read())["times"]
-        assert len(saved) == 6
-
+        # every measurement is stored as it is recorded: the interrupt
+        # at the eighth lost only the one in flight
         resumed = SyntheticApp()
-        with ExecutionEngine(resumed.evaluate, resumed.simulate,
-                             checkpoint_path=path) as engine:
+        with ExecutionEngine.for_app(resumed, store=store) as engine:
             entries = engine.evaluate_all(resumed.configs)
             engine.time_entries([e for e in entries if e.is_valid])
-            assert engine.stats.checkpoint_hits == 6
-            assert engine.stats.simulations == 9
-
-    def test_label_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        app = SyntheticApp()
-        with ExecutionEngine(app.evaluate, app.simulate,
-                             checkpoint_path=path, label="cp") as engine:
-            engine.seconds_for([app.configs[0]])
-        with pytest.raises(ValueError, match="belongs to 'cp'"):
-            ExecutionEngine(app.evaluate, app.simulate,
-                            checkpoint_path=path, label="matmul")
-
-    def test_version_mismatch_refused(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"version": 99, "times": {}}))
-        app = SyntheticApp()
-        with pytest.raises(ValueError, match="unsupported version"):
-            ExecutionEngine(app.evaluate, app.simulate,
-                            checkpoint_path=str(path))
+            assert engine.stats.static_evaluations == 0
+            assert engine.stats.config_time_hits == 7
+            assert engine.stats.simulations == 8
 
     def test_config_key_stable_and_order_free(self):
         from repro.tuning import Configuration
